@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <ios>
 
 #include "stl/estimators.h"
 #include "stl/evaluator.h"
@@ -95,6 +98,87 @@ TEST(StlEvaluatorTest, SingleRequestTransactionsNeverEscalate) {
   s.k_avg = 1;
   StlEvaluator ev(s);
   EXPECT_NEAR(ev.Evaluate(10, 0.3), 10 * 0.3, 1e-9);
+}
+
+// STL' values of the reference DP, one per row, as hex-float literals so
+// they compare bit for bit. The DP's results feed every min-STL decision,
+// so a speed-up of Evaluate must reproduce them exactly: the per-point
+// summation order is part of the contract (docs/performance.md).
+struct GoldenStl {
+  SystemParams sys;
+  int grid;
+  double lambda_loss;
+  double u_seconds;
+  double expected;
+};
+
+constexpr GoldenStl kGoldenStl[] = {
+    // zero duration
+    {{100, 0.4, 0.6, 0.5, 4}, 32, 5, 0, 0x0p+0},
+    // saturated: l == lambda_a
+    {{100, 0.4, 0.6, 0.5, 4}, 48, 100, 0.5, 0x1.9p+5},
+    // saturated: l > lambda_a
+    {{100, 0.4, 0.6, 0.5, 4}, 48, 150, 0.5, 0x1.9p+5},
+    // lnew == 0: no escalation
+    {{100, 0, 0, 0.5, 4}, 48, 7, 0.3, 0x1.0cccccccccccdp+1},
+    // level 0 has l == 0, so b == 0
+    {{100, 0.4, 0.6, 0.5, 4}, 32, 0, 0.1, 0x0p+0},
+    // level 0 has 0 < b <= 1e-12
+    {{100, 0.4, 0.6, 0.5, 4}, 32, 1e-13, 0.1, 0x1.6849b86a12adep-47},
+    // K == 1: b == 0 at every level
+    {{100, 0.4, 0.6, 0.5, 1}, 32, 10, 0.3, 0x1.8p+1},
+    // 4096-level cap
+    {{100, 0, 0.001, 0.5, 4}, 32, 1, 0.05, 0x1.99a14f0374937p-5},
+    // 4096-level cap, grid 2
+    {{100, 0, 0.001, 0.5, 4}, 2, 1, 0.05, 0x1.99a17f5af84ccp-5},
+    // grid 2
+    {{100, 0.4, 0.6, 0.5, 4}, 2, 10, 0.2, 0x1.67c871135a4e6p+1},
+    // grid 32
+    {{100, 0.4, 0.6, 0.5, 4}, 32, 10, 0.2, 0x1.3717eeaa994dep+1},
+    // grid 48
+    {{100, 0.4, 0.6, 0.5, 4}, 48, 10, 0.2, 0x1.370e4ce9451f5p+1},
+    // grid 128
+    {{100, 0.4, 0.6, 0.5, 4}, 128, 10, 0.2, 0x1.3707e5caeca08p+1},
+    // few levels, long hold
+    {{100, 0.4, 0.6, 0.5, 4}, 48, 60, 1, 0x1.20865b51c6f63p+6},
+    // Points the min-STL selector priced on the adaptive_overload
+    // benchmark workload, spanning its 116 to 464 loss levels.
+    {{0x1.bec5a92c1be75p+7, 0x1.cfd50662fd71cp-1, 0x1.53f3c5fcb9797p+0,
+      0x1.9cd51d41c7f4cp-2, 0x1.8000000000003p+1},
+     32, 0x1.ace6b6e2aa25bp+2, 0x1.96ef47685334cp-6, 0x1.646f2413b376ap-3},
+    {{0x1.8c2b8012a3b7ap+7, 0x1.bebb0e72c252ap-1, 0x1.1bbb6ea109ff3p+0,
+      0x1.c13307ac41587p-2, 0x1.7ffffffffffffp+1},
+     32, 0x1.7c52b863d05e6p+2, 0x1.3c30edde954c6p-6, 0x1.e3d8ec0d50199p-4},
+    {{0x1.c17c1254c2796p+7, 0x1.04fe2d01e2cccp+0, 0x1.3a58f4b24953cp+0,
+      0x1.c6488b65d55dep-2, 0x1.8p+1},
+     32, 0x1.c25d21a7988f1p+1, 0x1.0e57cce6095f9p-6, 0x1.e99d44b06d87dp-5},
+    {{0x1.95453a4cd0002p+7, 0x1.083e9f7a08944p+0, 0x1.fd00c6ef4b00cp-1,
+      0x1.029bc5f1040ep-1, 0x1.7fffffffffffep+1},
+     32, 0x1.7dc0953378409p+1, 0x1.c9b95086ccbf4p-6, 0x1.63b271091b342p-4},
+    {{0x1.12dd997f6b8bbp+7, 0x1.c39d7ddb2835dp-1, 0x1.f814e2ff0969cp-2,
+      0x1.4807871d8616ep-1, 0x1.8000000000002p+1},
+     32, 0x1.9ed6940d37a2ap+1, 0x1.6f88ef276aa82p-7, 0x1.2c69242d5f466p-5},
+    {{0x1.dbc7db78aa428p+6, 0x1.d25fa38c2cc8ap-1, 0x1.1d405b643b93ep-2,
+      0x1.883c318fe95e3p-1, 0x1.8p+1},
+     32, 0x1.abe08916595ddp-1, 0x1.6d2dcb1465e86p-7, 0x1.32d6e62752a0dp-7},
+    {{0x1.aa5ec1cc2466cp+6, 0x1.bb79630ba5f0ep-1, 0x1.991e540f93404p-3,
+      0x1.9ddf5dbaf8205p-1, 0x1.7fffffffffffep+1},
+     32, 0x1.9950ba0ba810cp+1, 0x1.577c359b0a48dp-7, 0x1.139affa8cf324p-5},
+    {{0x1.a355f864c4a96p+6, 0x1.dc6a14ea66531p-1, 0x1.e2af0ac92619bp-4,
+      0x1.c71d6d25f914ap-1, 0x1.8p+1},
+     32, 0x1.1b7573780ebbfp+1, 0x1.35d99a5b83c15p-6, 0x1.587a8a3eb25d5p-5},
+};
+
+TEST(StlEvaluatorTest, MatchesGoldenValuesBitForBit) {
+  for (const GoldenStl& g : kGoldenStl) {
+    StlEvaluator ev(g.sys, g.grid);
+    const double got = ev.Evaluate(g.lambda_loss, g.u_seconds);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+              std::bit_cast<std::uint64_t>(g.expected))
+        << std::hexfloat << "grid=" << g.grid << " l=" << g.lambda_loss
+        << " u=" << g.u_seconds << ": got " << got << ", want "
+        << g.expected;
+  }
 }
 
 TEST(EstimatorFormulaTest, LambdaT) {

@@ -33,6 +33,12 @@
 //                      as authored; its exact digest, macro_digest, pins
 //                      the table layout, scan machinery and the
 //                      rejection-inversion Zipf sampler
+//   selector_run       the min-STL phase-shift scenario as authored; its
+//                      exact digest, selector_digest, folds the selector's
+//                      per-protocol choice counts, so any change to an STL
+//                      estimate that flips a choice moves it
+//   stl_evaluate       StlEvaluator::Evaluate calls/sec over fixed points
+//                      of 100-500 loss levels on the selector's DP grid
 //   trace_write        UCTC v2 block-columnar trace encode, MB/sec
 //   trace_replay       UCTC v2 block decode through the ArrivalStream
 //                      reader, MB/sec; the exact round-trip digest,
@@ -45,18 +51,22 @@
 // Wall-clock rates are machine-dependent, so the gate uses a tolerance
 // band (default: fail below 0.5x baseline) — wide enough for runner
 // variance, tight enough to catch a reintroduced per-event allocation or
-// an accidental O(n^2). Two machine-independent invariants are checked
-// exactly: the scenario result digest (the simulation is deterministic;
-// any digest change means results changed, not just speed) and the
-// steady-state arena property (the event loop must not grow its slot
-// arena while load is constant). See docs/performance.md for how to
-// refresh the baseline.
+// an accidental O(n^2). Two kinds of machine-independent invariants are
+// checked exactly: every kernel's result digest (the simulation is
+// deterministic; any digest change means results changed, not just speed)
+// and the steady-state arena property (the event loop must not grow its
+// slot arena while load is constant). The report records the host (cores,
+// compiler, build type) so a rate gap can be told from a host change. See
+// docs/performance.md for how to refresh the baseline.
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
@@ -65,10 +75,16 @@
 #include "net/transport.h"
 #include "scenario/ini.h"
 #include "scenario/scenario.h"
+#include "selector/selector.h"
 #include "sim/simulator.h"
+#include "stl/evaluator.h"
 #include "storage/log.h"
 #include "workload/generator.h"
 #include "workload/trace_io.h"
+
+#ifndef UNICC_BUILD_TYPE
+#define UNICC_BUILD_TYPE ""
+#endif
 
 namespace {
 
@@ -76,8 +92,11 @@ using namespace unicc;
 
 struct KernelResult {
   std::string name;
-  std::string items;  // unit label: "events", "cycles", "txns"
+  std::string items;  // unit label: "events", "cycles", "txns", ...
   double items_per_sec = 0;
+  // JSON key of the kernel's exact result digest ("" when it has none).
+  std::string digest_key;
+  std::uint64_t digest = 0;
 };
 
 double NowSeconds() {
@@ -249,11 +268,11 @@ KernelResult KernelTraceWrite(double min_seconds,
 }
 
 KernelResult KernelTraceReplay(double min_seconds, const std::string& bytes,
-                               std::uint64_t write_digest,
-                               std::uint64_t* trace_digest, bool* ok) {
+                               std::uint64_t write_digest, bool* ok) {
   KernelResult r;
   r.name = "trace_replay";
   r.items = "MB";
+  r.digest_key = "trace_digest";
   const double mb = static_cast<double>(bytes.size()) / 1e6;
   std::istringstream in(bytes);
   // Verified pass before timing anything: decode everything, fold the
@@ -283,7 +302,7 @@ KernelResult KernelTraceReplay(double min_seconds, const std::string& bytes,
                    static_cast<unsigned long long>(d));
       *ok = false;
     }
-    *trace_digest = d;
+    r.digest = d;
   }
   r.items_per_sec = MeasureRate(
       [&in, mb, ok] {
@@ -420,13 +439,14 @@ std::uint64_t DigestOverloadStats(const bench::RunStats& s) {
 // its size, not a txn multiplier). Every arrival is eventually admitted
 // (the MPL cap only delays), so committed must equal the spec's total and
 // both digests are machine-independent.
-KernelResult KernelScenarioRun(const char* name, bool stream,
-                               const std::string& path, std::uint64_t txns,
-                               std::uint64_t* digest, bool* ok,
-                               int shards = -1, bool scale_main = true) {
+KernelResult KernelScenarioRun(const char* name, const char* digest_key,
+                               bool stream, const std::string& path,
+                               std::uint64_t txns, bool* ok, int shards = -1,
+                               bool scale_main = true) {
   KernelResult r;
   r.name = name;
   r.items = "txns";
+  r.digest_key = digest_key;
   auto ini = IniFile::ReadFile(path);
   if (!ini.ok()) {
     std::fprintf(stderr, "perf_gate: %s: %s\n", path.c_str(),
@@ -450,7 +470,7 @@ KernelResult KernelScenarioRun(const char* name, bool stream,
   const bench::RunStats stats = bench::RunScenario(*spec);
   const double elapsed = NowSeconds() - start;
   r.items_per_sec = static_cast<double>(stats.committed) / elapsed;
-  *digest = DigestStats(stats);
+  r.digest = DigestStats(stats);
   if (stats.committed != expected || !stats.serializable) {
     std::fprintf(stderr,
                  "perf_gate: %s run is broken (committed=%llu/%llu, "
@@ -468,11 +488,11 @@ KernelResult KernelScenarioRun(const char* name, bool stream,
 // kernels, shed work never commits, so committed < txns by design; the
 // run is instead required to actually shed and to stay serializable, and
 // its digest (DigestOverloadStats) pins every overload counter exactly.
-KernelResult KernelOverloadRun(const std::string& path,
-                               std::uint64_t* digest, bool* ok) {
+KernelResult KernelOverloadRun(const std::string& path, bool* ok) {
   KernelResult r;
   r.name = "overload_run";
   r.items = "txns";
+  r.digest_key = "overload_digest";
   auto spec = ScenarioSpec::LoadFile(path);
   if (!spec.ok()) {
     std::fprintf(stderr, "perf_gate: %s: %s\n", path.c_str(),
@@ -484,7 +504,7 @@ KernelResult KernelOverloadRun(const std::string& path,
   const bench::RunStats stats = bench::RunScenario(*spec);
   const double elapsed = NowSeconds() - start;
   r.items_per_sec = static_cast<double>(stats.committed) / elapsed;
-  *digest = DigestOverloadStats(stats);
+  r.digest = DigestOverloadStats(stats);
   if (stats.shed == 0 || !stats.serializable) {
     std::fprintf(stderr,
                  "perf_gate: overload_run is broken (shed=%llu, "
@@ -496,52 +516,144 @@ KernelResult KernelOverloadRun(const std::string& path,
   return r;
 }
 
+// Selector kernel: the min-STL phase-shift scenario as authored. Every
+// class refresh prices all three protocols through StlEvaluator, so on top
+// of the run's outcome fields the digest folds the selector's per-protocol
+// choice counts: an STL estimate that moves enough to flip one choice
+// moves the digest.
+KernelResult KernelSelectorRun(const std::string& path, bool* ok) {
+  KernelResult r;
+  r.name = "selector_run";
+  r.items = "txns";
+  r.digest_key = "selector_digest";
+  auto spec = ScenarioSpec::LoadFile(path);
+  if (!spec.ok()) {
+    std::fprintf(stderr, "perf_gate: %s: %s\n", path.c_str(),
+                 spec.status().ToString().c_str());
+    *ok = false;
+    return r;
+  }
+  runner::RunRequest request;
+  request.spec = &*spec;
+  auto session = runner::RunSession::Create(std::move(request));
+  if (!session.ok()) {
+    std::fprintf(stderr, "perf_gate: %s: %s\n", path.c_str(),
+                 session.status().ToString().c_str());
+    *ok = false;
+    return r;
+  }
+  const double start = NowSeconds();
+  const runner::RunReport report = (*session)->Run();
+  const double elapsed = NowSeconds() - start;
+  const bench::RunStats& stats = report.stats;
+  r.items_per_sec = static_cast<double>(stats.committed) / elapsed;
+  r.digest = DigestStats(stats);
+  const MinStlSelector* selector = (*session)->selector();
+  if (selector != nullptr) {
+    for (int p = 0; p < kNumProtocols; ++p) {
+      MixDigest(&r.digest, selector->selections(static_cast<Protocol>(p)));
+    }
+  }
+  if (selector == nullptr || stats.committed != spec->TotalTxns() ||
+      !stats.serializable) {
+    std::fprintf(stderr,
+                 "perf_gate: selector_run is broken (min-STL=%s, "
+                 "committed=%llu/%llu, serializable=%s)\n",
+                 selector != nullptr ? "yes" : "no",
+                 static_cast<unsigned long long>(stats.committed),
+                 static_cast<unsigned long long>(spec->TotalTxns()),
+                 stats.serializable ? "yes" : "no");
+    *ok = false;
+  }
+  return r;
+}
+
+// STL' evaluation: the dynamic program behind every min-STL decision, on
+// the selector's DP grid. The points climb from 100 to 500 loss levels
+// (levels = (lambda_a - lambda_loss) / lambda_new, here 0.3/s), bracketing
+// what the selector evaluates under contention.
+KernelResult KernelStlEvaluate(double min_seconds, bool* ok) {
+  SystemParams sys;
+  sys.lambda_a = 160;
+  sys.lambda_r = 0.2;
+  sys.lambda_w = 0.2;
+  sys.q_r = 0.5;
+  sys.k_avg = 3;
+  const StlEvaluator ev(sys, SelectorOptions{}.grid_points);
+  double sink = 0;
+  auto batch = [&ev, &sink] {
+    int calls = 0;
+    for (double lambda_loss : {130.0, 100.0, 70.0, 40.0, 10.0}) {
+      for (double u_seconds : {0.015, 0.03}) {
+        sink += ev.Evaluate(lambda_loss, u_seconds);
+        ++calls;
+      }
+    }
+    return calls;
+  };
+  KernelResult r;
+  r.name = "stl_evaluate";
+  r.items = "calls";
+  r.items_per_sec = MeasureRate(batch, min_seconds);
+  if (!(sink > 0) || !std::isfinite(sink)) {
+    std::fprintf(stderr, "perf_gate: stl_evaluate is broken (sum %g)\n",
+                 sink);
+    *ok = false;
+  }
+  return r;
+}
+
 // ---------------------------------------------------------------------------
 // JSON in/out
 // ---------------------------------------------------------------------------
 
+// The measuring host, as a one-line JSON object: rates are only comparable
+// between similar hosts, so the report says which one it came from.
+std::string HostJson() {
+#if defined(__clang__)
+  const char* compiler = "clang " __clang_version__;
+#elif defined(__GNUC__)
+  const char* compiler = "gcc " __VERSION__;
+#else
+  const char* compiler = "unknown";
+#endif
+#ifdef NDEBUG
+  const char* ndebug = "true";
+#else
+  const char* ndebug = "false";
+#endif
+  char buf[256];
+  std::snprintf(buf, sizeof(buf),
+                "{\"nproc\": %u, \"compiler\": \"%s\", "
+                "\"build_type\": \"%s\", \"ndebug\": %s}",
+                std::thread::hardware_concurrency(), compiler,
+                UNICC_BUILD_TYPE, ndebug);
+  return buf;
+}
+
+// (JSON key, scenario path) pairs naming what the scenario kernels ran.
+using ScenarioInputs = std::vector<std::pair<std::string, std::string>>;
+
 void WriteReport(const std::string& path,
                  const std::vector<KernelResult>& kernels,
-                 std::uint64_t digest, std::uint64_t stream_digest,
-                 std::uint64_t sharded_digest, std::uint64_t faulty_digest,
-                 std::uint64_t overload_digest, std::uint64_t macro_digest,
-                 std::uint64_t trace_digest,
-                 const std::string& scenario,
-                 const std::string& sharded_scenario,
-                 const std::string& faulty_scenario,
-                 const std::string& overload_scenario,
-                 const std::string& macro_scenario) {
+                 const ScenarioInputs& inputs) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "perf_gate: cannot open %s\n", path.c_str());
     std::exit(2);
   }
-  std::fprintf(f,
-               "{\n  \"suite\": \"core\",\n"
-               "  \"generated_by\": \"perf_gate\",\n"
-               "  \"scenario\": \"%s\",\n"
-               "  \"sharded_scenario\": \"%s\",\n"
-               "  \"faulty_scenario\": \"%s\",\n"
-               "  \"overload_scenario\": \"%s\",\n"
-               "  \"macro_scenario\": \"%s\",\n"
-               "  \"scenario_digest\": \"%016llx\",\n"
-               "  \"stream_digest\": \"%016llx\",\n"
-               "  \"sharded_digest\": \"%016llx\",\n"
-               "  \"faulty_digest\": \"%016llx\",\n"
-               "  \"overload_digest\": \"%016llx\",\n"
-               "  \"macro_digest\": \"%016llx\",\n"
-               "  \"trace_digest\": \"%016llx\",\n"
-               "  \"kernels\": [\n",
-               scenario.c_str(), sharded_scenario.c_str(),
-               faulty_scenario.c_str(), overload_scenario.c_str(),
-               macro_scenario.c_str(),
-               static_cast<unsigned long long>(digest),
-               static_cast<unsigned long long>(stream_digest),
-               static_cast<unsigned long long>(sharded_digest),
-               static_cast<unsigned long long>(faulty_digest),
-               static_cast<unsigned long long>(overload_digest),
-               static_cast<unsigned long long>(macro_digest),
-               static_cast<unsigned long long>(trace_digest));
+  std::fprintf(f, "{\n  \"suite\": \"core\",\n"
+                  "  \"generated_by\": \"perf_gate\",\n");
+  std::fprintf(f, "  \"host\": %s,\n", HostJson().c_str());
+  for (const auto& [key, scenario] : inputs) {
+    std::fprintf(f, "  \"%s\": \"%s\",\n", key.c_str(), scenario.c_str());
+  }
+  for (const KernelResult& k : kernels) {
+    if (k.digest_key.empty()) continue;
+    std::fprintf(f, "  \"%s\": \"%016llx\",\n", k.digest_key.c_str(),
+                 static_cast<unsigned long long>(k.digest));
+  }
+  std::fprintf(f, "  \"kernels\": [\n");
   for (std::size_t i = 0; i < kernels.size(); ++i) {
     std::fprintf(f,
                  "    {\"name\": \"%s\", \"items\": \"%s\", "
@@ -556,76 +668,42 @@ void WriteReport(const std::string& path,
 }
 
 // Minimal targeted extraction from a perf_gate-written baseline: kernel
-// (name, items_per_sec) pairs and the scenario digest. Not a general JSON
-// parser; the file format is owned by this tool.
+// (name, items_per_sec) pairs, plus the raw text for digest and host
+// lookups. Not a general JSON parser; the file format is owned by this
+// tool.
 struct Baseline {
+  std::string text;
   std::vector<KernelResult> kernels;
-  std::uint64_t digest = 0;
-  bool has_digest = false;
-  std::uint64_t stream_digest = 0;
-  bool has_stream_digest = false;
-  std::uint64_t sharded_digest = 0;
-  bool has_sharded_digest = false;
-  std::uint64_t faulty_digest = 0;
-  bool has_faulty_digest = false;
-  std::uint64_t overload_digest = 0;
-  bool has_overload_digest = false;
-  std::uint64_t macro_digest = 0;
-  bool has_macro_digest = false;
-  std::uint64_t trace_digest = 0;
-  bool has_trace_digest = false;
+
+  // The baseline's value of digest `key`, if it records one.
+  bool FindDigest(const std::string& key, std::uint64_t* out) const {
+    const std::string needle = "\"" + key + "\": \"";
+    const std::size_t p = text.find(needle);
+    if (p == std::string::npos) return false;
+    *out = std::strtoull(text.c_str() + p + needle.size(), nullptr, 16);
+    return true;
+  }
+
+  // The baseline's host object, or "(not recorded)".
+  std::string Host() const {
+    const std::string needle = "\"host\": ";
+    const std::size_t p = text.find(needle);
+    const std::size_t end =
+        p == std::string::npos ? p : text.find('}', p + needle.size());
+    if (end == std::string::npos) return "(not recorded)";
+    return text.substr(p + needle.size(), end + 1 - p - needle.size());
+  }
 };
 
 bool LoadBaseline(const std::string& path, Baseline* out) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) return false;
-  std::string text;
+  std::string& text = out->text;
   char buf[4096];
   std::size_t n;
   while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, n);
   std::fclose(f);
 
-  const std::string dkey = "\"scenario_digest\": \"";
-  if (std::size_t p = text.find(dkey); p != std::string::npos) {
-    out->digest = std::strtoull(text.c_str() + p + dkey.size(), nullptr, 16);
-    out->has_digest = true;
-  }
-  const std::string skey = "\"stream_digest\": \"";
-  if (std::size_t p = text.find(skey); p != std::string::npos) {
-    out->stream_digest =
-        std::strtoull(text.c_str() + p + skey.size(), nullptr, 16);
-    out->has_stream_digest = true;
-  }
-  const std::string hkey = "\"sharded_digest\": \"";
-  if (std::size_t p = text.find(hkey); p != std::string::npos) {
-    out->sharded_digest =
-        std::strtoull(text.c_str() + p + hkey.size(), nullptr, 16);
-    out->has_sharded_digest = true;
-  }
-  const std::string fkey = "\"faulty_digest\": \"";
-  if (std::size_t p = text.find(fkey); p != std::string::npos) {
-    out->faulty_digest =
-        std::strtoull(text.c_str() + p + fkey.size(), nullptr, 16);
-    out->has_faulty_digest = true;
-  }
-  const std::string okey = "\"overload_digest\": \"";
-  if (std::size_t p = text.find(okey); p != std::string::npos) {
-    out->overload_digest =
-        std::strtoull(text.c_str() + p + okey.size(), nullptr, 16);
-    out->has_overload_digest = true;
-  }
-  const std::string mkey = "\"macro_digest\": \"";
-  if (std::size_t p = text.find(mkey); p != std::string::npos) {
-    out->macro_digest =
-        std::strtoull(text.c_str() + p + mkey.size(), nullptr, 16);
-    out->has_macro_digest = true;
-  }
-  const std::string tkey = "\"trace_digest\": \"";
-  if (std::size_t p = text.find(tkey); p != std::string::npos) {
-    out->trace_digest =
-        std::strtoull(text.c_str() + p + tkey.size(), nullptr, 16);
-    out->has_trace_digest = true;
-  }
   const std::string nkey = "\"name\": \"";
   const std::string vkey = "\"items_per_sec\": ";
   std::size_t pos = 0;
@@ -673,6 +751,9 @@ void PrintHelp() {
       "  --macro-scenario=<file>  macro-tier [table] scenario for the\n"
       "                      macro_run kernel, run as authored\n"
       "                      (default scenarios/macro_ycsb.ini)\n"
+      "  --selector-scenario=<file>  min-STL scenario for the\n"
+      "                      selector_run kernel, run as authored\n"
+      "                      (default scenarios/phase_shift.ini)\n"
       "  --trace-roundtrip=<n>  instead of the kernel suite, run a\n"
       "                      bounded-memory generator -> v2 trace file ->\n"
       "                      replay round trip of n transactions and exit\n"
@@ -701,6 +782,7 @@ int main(int argc, char** argv) {
   std::string faulty_path = "scenarios/flaky_mesh.ini";
   std::string overload_path = "scenarios/overload.ini";
   std::string macro_path = "scenarios/macro_ycsb.ini";
+  std::string selector_path = "scenarios/phase_shift.ini";
   double tolerance = 0.5;
   double min_time = 0.5;
   std::uint64_t txns = 20000;
@@ -722,7 +804,8 @@ int main(int argc, char** argv) {
                ParseFlag(a, "--sharded-scenario", &sharded_path) ||
                ParseFlag(a, "--faulty-scenario", &faulty_path) ||
                ParseFlag(a, "--overload-scenario", &overload_path) ||
-               ParseFlag(a, "--macro-scenario", &macro_path)) {
+               ParseFlag(a, "--macro-scenario", &macro_path) ||
+               ParseFlag(a, "--selector-scenario", &selector_path)) {
     } else if (ParseFlag(a, "--tolerance", &v)) {
       tolerance = std::strtod(v.c_str(), nullptr);
     } else if (ParseFlag(a, "--min-time", &v)) {
@@ -745,37 +828,31 @@ int main(int argc, char** argv) {
 
   bool ok = true;
   bool arena_stable = true;
-  std::uint64_t digest = 0;
-  std::uint64_t stream_digest = 0;
   std::vector<KernelResult> kernels;
   kernels.push_back(KernelScheduleRun(min_time, &arena_stable));
   kernels.push_back(KernelCancelChurn(min_time));
   kernels.push_back(KernelQmGrantRelease(min_time));
-  kernels.push_back(KernelScenarioRun("scenario_e2e", /*stream=*/false,
-                                      scenario_path, txns, &digest, &ok));
-  kernels.push_back(KernelScenarioRun("stream_admission", /*stream=*/true,
-                                      scenario_path, txns, &stream_digest,
+  kernels.push_back(KernelScenarioRun("scenario_e2e", "scenario_digest",
+                                      /*stream=*/false, scenario_path, txns,
                                       &ok));
-  std::uint64_t sharded_digest = 0;
-  kernels.push_back(KernelScenarioRun("sharded_run", /*stream=*/false,
-                                      sharded_path, sharded_txns,
-                                      &sharded_digest, &ok));
-  std::uint64_t faulty_digest = 0;
-  kernels.push_back(KernelScenarioRun("faulty_run", /*stream=*/false,
-                                      faulty_path, faulty_txns,
-                                      &faulty_digest, &ok));
-  std::uint64_t overload_digest = 0;
-  kernels.push_back(KernelOverloadRun(overload_path, &overload_digest, &ok));
+  kernels.push_back(KernelScenarioRun("stream_admission", "stream_digest",
+                                      /*stream=*/true, scenario_path, txns,
+                                      &ok));
+  kernels.push_back(KernelScenarioRun("sharded_run", "sharded_digest",
+                                      /*stream=*/false, sharded_path,
+                                      sharded_txns, &ok));
+  kernels.push_back(KernelScenarioRun("faulty_run", "faulty_digest",
+                                      /*stream=*/false, faulty_path,
+                                      faulty_txns, &ok));
+  kernels.push_back(KernelOverloadRun(overload_path, &ok));
   // The macro-tier kernel runs its [table] scenario as authored (its
   // millions of items are the point; a txn multiplier would only slow the
   // suite): wall-clock txns/sec is banded like the other kernels and
   // macro_digest pins the table layout, the scan machinery and the
   // rejection-inversion Zipf draws exactly.
-  std::uint64_t macro_digest = 0;
-  kernels.push_back(KernelScenarioRun("macro_run", /*stream=*/false,
-                                      macro_path, 0, &macro_digest, &ok,
+  kernels.push_back(KernelScenarioRun("macro_run", "macro_digest",
+                                      /*stream=*/false, macro_path, 0, &ok,
                                       /*shards=*/-1, /*scale_main=*/false));
-  std::uint64_t trace_digest = 0;
   {
     const std::vector<Arrival> trace_wl = MakeTraceWorkload(50000);
     std::uint64_t write_digest = kTraceDigestSeed;
@@ -787,29 +864,21 @@ int main(int argc, char** argv) {
     if (!enc_ok) ok = false;
     const double encoded_mb = static_cast<double>(encoded.size()) / 1e6;
     kernels.push_back(KernelTraceWrite(min_time, trace_wl, encoded_mb, &ok));
-    kernels.push_back(KernelTraceReplay(min_time, encoded, write_digest,
-                                        &trace_digest, &ok));
+    kernels.push_back(KernelTraceReplay(min_time, encoded, write_digest, &ok));
   }
+  kernels.push_back(KernelSelectorRun(selector_path, &ok));
+  kernels.push_back(KernelStlEvaluate(min_time, &ok));
 
   std::printf("%-18s %14s  %s\n", "kernel", "items/sec", "unit");
   for (const KernelResult& k : kernels) {
     std::printf("%-18s %14.0f  %s\n", k.name.c_str(), k.items_per_sec,
                 k.items.c_str());
   }
-  std::printf("scenario_digest    %016llx\n",
-              static_cast<unsigned long long>(digest));
-  std::printf("stream_digest      %016llx\n",
-              static_cast<unsigned long long>(stream_digest));
-  std::printf("sharded_digest     %016llx\n",
-              static_cast<unsigned long long>(sharded_digest));
-  std::printf("faulty_digest      %016llx\n",
-              static_cast<unsigned long long>(faulty_digest));
-  std::printf("overload_digest    %016llx\n",
-              static_cast<unsigned long long>(overload_digest));
-  std::printf("macro_digest       %016llx\n",
-              static_cast<unsigned long long>(macro_digest));
-  std::printf("trace_digest       %016llx\n",
-              static_cast<unsigned long long>(trace_digest));
+  for (const KernelResult& k : kernels) {
+    if (k.digest_key.empty()) continue;
+    std::printf("%-18s %016llx\n", k.digest_key.c_str(),
+                static_cast<unsigned long long>(k.digest));
+  }
 
   // The 1/2/4/8-shard scaling curve on the partitioned macro scenario.
   // Informational, never gated: wall-clock speedup depends on the number
@@ -820,10 +889,9 @@ int main(int argc, char** argv) {
                 "digest");
     double base_rate = 0;
     for (int s : {1, 2, 4, 8}) {
-      std::uint64_t d = 0;
       bool curve_ok = true;
       const KernelResult k = KernelScenarioRun(
-          "shard_curve", /*stream=*/false, sharded_path, sharded_txns, &d,
+          "shard_curve", "", /*stream=*/false, sharded_path, sharded_txns,
           &curve_ok, s);
       if (!curve_ok) {
         std::printf("%-10d %14s\n", s, "(failed)");
@@ -832,7 +900,7 @@ int main(int argc, char** argv) {
       if (s == 1) base_rate = k.items_per_sec;
       std::printf("%-10d %14.0f %13.2fx  %016llx\n", s, k.items_per_sec,
                   base_rate > 0 ? k.items_per_sec / base_rate : 0,
-                  static_cast<unsigned long long>(d));
+                  static_cast<unsigned long long>(k.digest));
     }
   }
 
@@ -850,6 +918,8 @@ int main(int argc, char** argv) {
                    baseline_path.c_str());
       return 2;
     }
+    std::printf("\nbaseline host %s\ncurrent host  %s\n",
+                base.Host().c_str(), HostJson().c_str());
     std::printf("\n%-18s %14s %14s %7s\n", "kernel", "baseline", "current",
                 "ratio");
     for (const KernelResult& k : kernels) {
@@ -867,69 +937,19 @@ int main(int argc, char** argv) {
         if (!pass) ok = false;
       }
     }
-    if (base.has_digest && base.digest != digest) {
+    // A digest change means the kernel's results differ from the baseline
+    // build's, not just its speed.
+    for (const KernelResult& k : kernels) {
+      std::uint64_t want = 0;
+      if (k.digest_key.empty() || !base.FindDigest(k.digest_key, &want) ||
+          want == k.digest) {
+        continue;
+      }
       std::fprintf(stderr,
-                   "perf_gate: FAIL scenario digest changed "
-                   "(%016llx -> %016llx): simulation results differ from "
-                   "the baseline build\n",
-                   static_cast<unsigned long long>(base.digest),
-                   static_cast<unsigned long long>(digest));
-      ok = false;
-    }
-    if (base.has_stream_digest && base.stream_digest != stream_digest) {
-      std::fprintf(stderr,
-                   "perf_gate: FAIL stream digest changed "
-                   "(%016llx -> %016llx): streaming-admission results "
-                   "differ from the baseline build\n",
-                   static_cast<unsigned long long>(base.stream_digest),
-                   static_cast<unsigned long long>(stream_digest));
-      ok = false;
-    }
-    if (base.has_sharded_digest && base.sharded_digest != sharded_digest) {
-      std::fprintf(stderr,
-                   "perf_gate: FAIL sharded digest changed "
-                   "(%016llx -> %016llx): sharded-engine results differ "
-                   "from the baseline build\n",
-                   static_cast<unsigned long long>(base.sharded_digest),
-                   static_cast<unsigned long long>(sharded_digest));
-      ok = false;
-    }
-    if (base.has_faulty_digest && base.faulty_digest != faulty_digest) {
-      std::fprintf(stderr,
-                   "perf_gate: FAIL faulty digest changed "
-                   "(%016llx -> %016llx): the seeded fault schedule or "
-                   "the recovery machinery diverged from the baseline "
-                   "build\n",
-                   static_cast<unsigned long long>(base.faulty_digest),
-                   static_cast<unsigned long long>(faulty_digest));
-      ok = false;
-    }
-    if (base.has_overload_digest && base.overload_digest != overload_digest) {
-      std::fprintf(stderr,
-                   "perf_gate: FAIL overload digest changed "
-                   "(%016llx -> %016llx): the shed/expire/retry machinery "
-                   "diverged from the baseline build\n",
-                   static_cast<unsigned long long>(base.overload_digest),
-                   static_cast<unsigned long long>(overload_digest));
-      ok = false;
-    }
-    if (base.has_macro_digest && base.macro_digest != macro_digest) {
-      std::fprintf(stderr,
-                   "perf_gate: FAIL macro digest changed "
-                   "(%016llx -> %016llx): macro-tier results (table "
-                   "layout, scans, or rejection-inversion Zipf draws) "
-                   "differ from the baseline build\n",
-                   static_cast<unsigned long long>(base.macro_digest),
-                   static_cast<unsigned long long>(macro_digest));
-      ok = false;
-    }
-    if (base.has_trace_digest && base.trace_digest != trace_digest) {
-      std::fprintf(stderr,
-                   "perf_gate: FAIL trace digest changed "
-                   "(%016llx -> %016llx): the v2 trace codec no longer "
-                   "round-trips the baseline workload bit-identically\n",
-                   static_cast<unsigned long long>(base.trace_digest),
-                   static_cast<unsigned long long>(trace_digest));
+                   "perf_gate: FAIL %s changed (%016llx -> %016llx): %s "
+                   "results differ from the baseline build\n",
+                   k.digest_key.c_str(), static_cast<unsigned long long>(want),
+                   static_cast<unsigned long long>(k.digest), k.name.c_str());
       ok = false;
     }
   }
@@ -937,10 +957,13 @@ int main(int argc, char** argv) {
   // Written even when the gate fails: CI uploads the measured numbers as
   // an artifact precisely so a failing run can be diagnosed.
   if (!out_path.empty()) {
-    WriteReport(out_path, kernels, digest, stream_digest, sharded_digest,
-                faulty_digest, overload_digest, macro_digest, trace_digest,
-                scenario_path, sharded_path, faulty_path, overload_path,
-                macro_path);
+    WriteReport(out_path, kernels,
+                {{"scenario", scenario_path},
+                 {"sharded_scenario", sharded_path},
+                 {"faulty_scenario", faulty_path},
+                 {"overload_scenario", overload_path},
+                 {"macro_scenario", macro_path},
+                 {"selector_scenario", selector_path}});
   }
   return ok ? 0 : 1;
 }
