@@ -2,10 +2,32 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <utility>
 
 #include "common/check.h"
 
 namespace unicc {
+
+namespace {
+
+// Adds grid interval j's convolution term to every point i = j + k,
+// k = 1..n, of the level being computed: `out` is that level offset by j,
+// `above` the level above it. Every point receives its terms in
+// increasing j, exactly as a per-point loop would add them, but the n
+// running sums are independent, so the compiler can vectorize the loop
+// without reassociating any sum.
+void AddIntervalTerm(double* __restrict out, const double* __restrict above,
+                     int n, double lx0, double lx1, double w, double ej,
+                     double c) {
+  for (int k = 1; k <= n; ++k) {
+    const double g0 = lx0 + above[k];
+    const double g1 = lx1 + above[k - 1];
+    out[k] += g0 * w + (g1 - g0) * ej * c;
+  }
+}
+
+}  // namespace
 
 StlEvaluator::StlEvaluator(SystemParams params, int grid_points)
     : params_(params), grid_points_(grid_points) {
@@ -14,6 +36,7 @@ StlEvaluator::StlEvaluator(SystemParams params, int grid_points)
   UNICC_CHECK(params_.q_r >= 0 && params_.q_r <= 1);
   UNICC_CHECK(params_.k_avg >= 1);
   UNICC_CHECK(grid_points_ >= 2);
+  scratch_.resize(2 * static_cast<std::size_t>(grid_points_));
 }
 
 double StlEvaluator::LambdaNew() const {
@@ -36,18 +59,21 @@ double StlEvaluator::Evaluate(double lambda_loss, double u_seconds) const {
 
   const double lnew = LambdaNew();
   // Number of loss levels until saturation; each new blocking grant adds
-  // lnew of loss. With lnew == 0 no escalation happens.
+  // lnew of loss. With lnew == 0 no escalation happens: the loss stays
+  // deterministic.
   int levels = 0;
   if (lnew > 1e-12) {
     levels = static_cast<int>(std::ceil((la - lambda_loss) / lnew));
     levels = std::min(levels, 4096);
   }
+  if (levels == 0) return lambda_loss * u_seconds;
 
   const int m = grid_points_;
   const double h = u_seconds / (m - 1);
+  double* above = scratch_.data();
+  double* cur = above + m;
 
   // S_top: saturated level.
-  std::vector<double> above(m), cur(m);
   for (int i = 0; i < m; ++i) {
     above[i] = la * (static_cast<double>(i) * h);
   }
@@ -59,32 +85,26 @@ double StlEvaluator::Evaluate(double lambda_loss, double u_seconds) const {
   for (int n = levels - 1; n >= 0; --n) {
     const double l = std::min(lambda_loss + n * lnew, la);
     const double b = LambdaBlock(l);
-    cur[0] = 0;
     const double ebh = std::exp(-b * h);
     // c = \int_0^h b*y*e^{-by} dy / h, normalized slope weight.
     const double c =
         b > 1e-12 ? (1 - ebh * (1 + b * h)) / (b * h) : 0.0;
+    // No-block branch.
+    cur[0] = 0;
     for (int i = 1; i < m; ++i) {
       const double u = static_cast<double>(i) * h;
-      // No-block branch.
-      double v = std::exp(-b * u) * l * u;
-      if (b > 1e-12) {
-        double ej = 1.0;  // e^{-b x_j}
-        for (int j = 0; j < i; ++j) {
-          const double x0 = static_cast<double>(j) * h;
-          const double g0 = l * x0 + above[i - j];
-          const double g1 = l * (x0 + h) + above[i - j - 1];
-          v += g0 * (ej - ej * ebh) + (g1 - g0) * ej * c;
-          ej *= ebh;
-        }
-      }
-      cur[i] = v;
+      cur[i] = std::exp(-b * u) * l * u;
     }
-    above = cur;
-  }
-  if (levels == 0) {
-    // No escalation: pure deterministic loss.
-    return lambda_loss * u_seconds;
+    if (b > 1e-12) {
+      double ej = 1.0;  // e^{-b x_j}, as a running product
+      for (int j = 0; j < m - 1; ++j) {
+        const double x0 = static_cast<double>(j) * h;
+        AddIntervalTerm(cur + j, above, m - 1 - j, l * x0, l * (x0 + h),
+                        ej - ej * ebh, ej, c);
+        ej *= ebh;
+      }
+    }
+    std::swap(above, cur);
   }
   return above[m - 1];
 }

@@ -15,7 +15,9 @@
 //
 // The DP discretizes U on a uniform grid and sweeps loss levels downward
 // from the saturated level, computing each level's convolution against the
-// level above it.
+// level above it. Each grid point sums its convolution terms in a fixed
+// order, so results are bit-reproducible (docs/performance.md, "Selector /
+// STL layer").
 #ifndef UNICC_STL_EVALUATOR_H_
 #define UNICC_STL_EVALUATOR_H_
 
@@ -41,7 +43,8 @@ class StlEvaluator {
   // STL'(λ_loss, U): expected throughput loss caused over a lock-hold of
   // `u_seconds` starting from initial loss `lambda_loss` (per-second rate).
   // Returns loss in units of (throughput · seconds), i.e. expected number
-  // of lost grants.
+  // of lost grants. Evaluate reuses the evaluator's scratch buffers, so one
+  // evaluator must not be evaluated from two threads at once.
   double Evaluate(double lambda_loss, double u_seconds) const;
 
   // λ_new = λ_w + (1 − Q_r)·λ_r (the expected extra loss per new block).
@@ -55,6 +58,9 @@ class StlEvaluator {
  private:
   SystemParams params_;
   int grid_points_;
+  // DP scratch, sized once so Evaluate never allocates: the level being
+  // computed and the level above it, grid_points_ doubles each.
+  mutable std::vector<double> scratch_;
 };
 
 }  // namespace unicc

@@ -181,6 +181,18 @@ TEST(StlEvaluatorTest, MatchesGoldenValuesBitForBit) {
   }
 }
 
+TEST(StlEvaluatorTest, RepeatedCallsOnOneEvaluatorAgree) {
+  // Evaluate reuses the evaluator's scratch buffers; a call must not see
+  // state left by an earlier one.
+  StlEvaluator ev(DefaultSys(), 32);
+  const double first = ev.Evaluate(10, 0.2);
+  EXPECT_EQ(ev.Evaluate(100, 0.5), 100 * 0.5);
+  EXPECT_EQ(ev.Evaluate(60, 1.0),
+            StlEvaluator(DefaultSys(), 32).Evaluate(60, 1.0));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(ev.Evaluate(10, 0.2)),
+            std::bit_cast<std::uint64_t>(first));
+}
+
 TEST(EstimatorFormulaTest, LambdaT) {
   const SystemParams s = DefaultSys();
   // m=2 reads, n=3 writes: 2·λw + 3·(λw + λr).
