@@ -60,11 +60,13 @@ double StlEvaluator::Evaluate(double lambda_loss, double u_seconds) const {
   const double lnew = LambdaNew();
   // Number of loss levels until saturation; each new blocking grant adds
   // lnew of loss. With lnew == 0 no escalation happens: the loss stays
-  // deterministic.
+  // deterministic. The cap applies before the cast, because a tiny lnew
+  // needs more levels than an int holds (std::min's argument order also
+  // maps a NaN to the cap).
   int levels = 0;
   if (lnew > 1e-12) {
-    levels = static_cast<int>(std::ceil((la - lambda_loss) / lnew));
-    levels = std::min(levels, 4096);
+    levels = static_cast<int>(
+        std::min(4096.0, std::ceil((la - lambda_loss) / lnew)));
   }
   if (levels == 0) return lambda_loss * u_seconds;
 

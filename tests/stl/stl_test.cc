@@ -167,6 +167,20 @@ constexpr GoldenStl kGoldenStl[] = {
     {{0x1.a355f864c4a96p+6, 0x1.dc6a14ea66531p-1, 0x1.e2af0ac92619bp-4,
       0x1.c71d6d25f914ap-1, 0x1.8p+1},
      32, 0x1.1b7573780ebbfp+1, 0x1.35d99a5b83c15p-6, 0x1.587a8a3eb25d5p-5},
+    // More such points, chosen because their results change when the
+    // slope term is computed as (g1 - g0) * (ej * c).
+    {{0x1.7cc46c18534f8p+7, 0x1.ae26e29126adap-1, 0x1.104e60c214bd1p+0,
+      0x1.c11ac27822478p-2, 0x1.8p+1},
+     32, 0x1.37c48135d9393p+2, 0x1.398cceaffbdbep-5, 0x1.943bad37c17bbp-3},
+    {{0x1.5e3b871e1a738p+7, 0x1.dac5abf578758p-1, 0x1.a5d2b82ea24bcp-1,
+      0x1.0d5dd2925dde1p-1, 0x1.7fffffffffffep+1},
+     32, 0x1.b30f752057d63p+1, 0x1.98301dc7f7f8fp-6, 0x1.65a8eb5cc313cp-4},
+    {{0x1.7069081175404p+7, 0x1.b5b7b88063b5dp-1, 0x1.f969a3d54354fp-1,
+      0x1.d9fcc95503ed7p-2, 0x1.7fffffffffffdp+1},
+     32, 0x1.61ac82a01ea4p+2, 0x1.3fa0a78555c6p-6, 0x1.c5afbea219b2ep-4},
+    {{0x1.cc2951926fcddp+7, 0x1.10afe5148805cp+0, 0x1.3c51cb031153ap+0,
+      0x1.d8cb7f1c3ab8ep-2, 0x1.8p+1},
+     32, 0x1.75954acc9101ap+2, 0x1.34d2abb0b0b43p-6, 0x1.d1c46971c3607p-4},
 };
 
 TEST(StlEvaluatorTest, MatchesGoldenValuesBitForBit) {
@@ -191,6 +205,17 @@ TEST(StlEvaluatorTest, RepeatedCallsOnOneEvaluatorAgree) {
             StlEvaluator(DefaultSys(), 32).Evaluate(60, 1.0));
   EXPECT_EQ(std::bit_cast<std::uint64_t>(ev.Evaluate(10, 0.2)),
             std::bit_cast<std::uint64_t>(first));
+}
+
+TEST(StlEvaluatorTest, TinyLambdaNewStopsAtTheLevelCap) {
+  // (100 - 1) / 1e-9 levels do not fit in an int; the DP must still stop
+  // at 4096 levels. So little loss escalates within 50 ms that STL' stays
+  // at the deterministic l*U.
+  SystemParams s = DefaultSys();
+  s.lambda_r = 0;
+  s.lambda_w = 1e-9;
+  StlEvaluator ev(s, 32);
+  EXPECT_NEAR(ev.Evaluate(1, 0.05), 1 * 0.05, 1e-9);
 }
 
 TEST(EstimatorFormulaTest, LambdaT) {

@@ -33,10 +33,11 @@
 //                      as authored; its exact digest, macro_digest, pins
 //                      the table layout, scan machinery and the
 //                      rejection-inversion Zipf sampler
-//   selector_run       the min-STL phase-shift scenario as authored; its
-//                      exact digest, selector_digest, folds the selector's
-//                      per-protocol choice counts, so any change to an STL
-//                      estimate that flips a choice moves it
+//   selector_run       the min-STL phase-shift scenario as authored,
+//                      repeated; its exact digest, selector_digest, folds
+//                      the selector's per-protocol choice counts, so any
+//                      change to an STL estimate that flips a choice
+//                      moves it
 //   stl_evaluate       StlEvaluator::Evaluate calls/sec over fixed points
 //                      of 100-500 loss levels on the selector's DP grid
 //   trace_write        UCTC v2 block-columnar trace encode, MB/sec
@@ -81,10 +82,6 @@
 #include "storage/log.h"
 #include "workload/generator.h"
 #include "workload/trace_io.h"
-
-#ifndef UNICC_BUILD_TYPE
-#define UNICC_BUILD_TYPE ""
-#endif
 
 namespace {
 
@@ -516,12 +513,14 @@ KernelResult KernelOverloadRun(const std::string& path, bool* ok) {
   return r;
 }
 
-// Selector kernel: the min-STL phase-shift scenario as authored. Every
-// class refresh prices all three protocols through StlEvaluator, so on top
-// of the run's outcome fields the digest folds the selector's per-protocol
-// choice counts: an STL estimate that moves enough to flip one choice
-// moves the digest.
-KernelResult KernelSelectorRun(const std::string& path, bool* ok) {
+// Selector kernel: the min-STL phase-shift scenario as authored, repeated
+// for `min_seconds` (one run takes about a tenth of a second, too short to
+// time alone). Every class refresh prices all three protocols through
+// StlEvaluator, so on top of the run's outcome fields the digest folds the
+// selector's per-protocol choice counts: an STL estimate that moves enough
+// to flip one choice moves the digest. Every repetition must reproduce it.
+KernelResult KernelSelectorRun(double min_seconds, const std::string& path,
+                               bool* ok) {
   KernelResult r;
   r.name = "selector_run";
   r.items = "txns";
@@ -533,38 +532,47 @@ KernelResult KernelSelectorRun(const std::string& path, bool* ok) {
     *ok = false;
     return r;
   }
-  runner::RunRequest request;
-  request.spec = &*spec;
-  auto session = runner::RunSession::Create(std::move(request));
-  if (!session.ok()) {
-    std::fprintf(stderr, "perf_gate: %s: %s\n", path.c_str(),
-                 session.status().ToString().c_str());
-    *ok = false;
-    return r;
-  }
-  const double start = NowSeconds();
-  const runner::RunReport report = (*session)->Run();
-  const double elapsed = NowSeconds() - start;
-  const bench::RunStats& stats = report.stats;
-  r.items_per_sec = static_cast<double>(stats.committed) / elapsed;
-  r.digest = DigestStats(stats);
-  const MinStlSelector* selector = (*session)->selector();
-  if (selector != nullptr) {
-    for (int p = 0; p < kNumProtocols; ++p) {
-      MixDigest(&r.digest, selector->selections(static_cast<Protocol>(p)));
+  bool failed = false;
+  bool first = true;
+  auto run = [&]() -> std::uint64_t {
+    if (failed) return 0;
+    runner::RunRequest request;
+    request.spec = &*spec;
+    auto session = runner::RunSession::Create(std::move(request));
+    if (!session.ok()) {
+      std::fprintf(stderr, "perf_gate: %s: %s\n", path.c_str(),
+                   session.status().ToString().c_str());
+      failed = true;
+      return 0;
     }
-  }
-  if (selector == nullptr || stats.committed != spec->TotalTxns() ||
-      !stats.serializable) {
-    std::fprintf(stderr,
-                 "perf_gate: selector_run is broken (min-STL=%s, "
-                 "committed=%llu/%llu, serializable=%s)\n",
-                 selector != nullptr ? "yes" : "no",
-                 static_cast<unsigned long long>(stats.committed),
-                 static_cast<unsigned long long>(spec->TotalTxns()),
-                 stats.serializable ? "yes" : "no");
-    *ok = false;
-  }
+    const bench::RunStats stats = (*session)->Run().stats;
+    std::uint64_t digest = DigestStats(stats);
+    const MinStlSelector* selector = (*session)->selector();
+    if (selector != nullptr) {
+      for (int p = 0; p < kNumProtocols; ++p) {
+        MixDigest(&digest, selector->selections(static_cast<Protocol>(p)));
+      }
+    }
+    if (first) r.digest = digest;
+    first = false;
+    if (selector == nullptr || stats.committed != spec->TotalTxns() ||
+        !stats.serializable || digest != r.digest) {
+      std::fprintf(stderr,
+                   "perf_gate: selector_run is broken (min-STL=%s, "
+                   "committed=%llu/%llu, serializable=%s, digest %016llx "
+                   "vs first run %016llx)\n",
+                   selector != nullptr ? "yes" : "no",
+                   static_cast<unsigned long long>(stats.committed),
+                   static_cast<unsigned long long>(spec->TotalTxns()),
+                   stats.serializable ? "yes" : "no",
+                   static_cast<unsigned long long>(digest),
+                   static_cast<unsigned long long>(r.digest));
+      failed = true;
+    }
+    return stats.committed;
+  };
+  r.items_per_sec = MeasureRate(run, min_seconds);
+  if (failed) *ok = false;
   return r;
 }
 
@@ -866,7 +874,7 @@ int main(int argc, char** argv) {
     kernels.push_back(KernelTraceWrite(min_time, trace_wl, encoded_mb, &ok));
     kernels.push_back(KernelTraceReplay(min_time, encoded, write_digest, &ok));
   }
-  kernels.push_back(KernelSelectorRun(selector_path, &ok));
+  kernels.push_back(KernelSelectorRun(min_time, selector_path, &ok));
   kernels.push_back(KernelStlEvaluate(min_time, &ok));
 
   std::printf("%-18s %14s  %s\n", "kernel", "items/sec", "unit");
