@@ -364,8 +364,4 @@ const ParamEstimator& RunSession::estimator(std::uint32_t shard) const {
   return *estimators_[shard];
 }
 
-const MinStlSelector* RunSession::selector(std::uint32_t shard) const {
-  return shard < selectors_.size() ? selectors_[shard].get() : nullptr;
-}
-
 }  // namespace unicc::runner

@@ -123,9 +123,6 @@ class RunSession {
   // The STL parameter estimator of one shard (shard 0 == the classic
   // engine's estimator when unsharded).
   const ParamEstimator& estimator(std::uint32_t shard = 0) const;
-  // The min-STL selector of one shard, or null when the policy is not
-  // min-STL.
-  const MinStlSelector* selector(std::uint32_t shard = 0) const;
   std::uint32_t shards() const { return shards_; }
   const ScenarioSpec& spec() const { return spec_; }
   // Escape hatches for detailed tooling output; exactly one is non-null

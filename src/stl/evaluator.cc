@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstddef>
 #include <utility>
 
 #include "common/check.h"
@@ -36,7 +35,6 @@ StlEvaluator::StlEvaluator(SystemParams params, int grid_points)
   UNICC_CHECK(params_.q_r >= 0 && params_.q_r <= 1);
   UNICC_CHECK(params_.k_avg >= 1);
   UNICC_CHECK(grid_points_ >= 2);
-  scratch_.resize(2 * static_cast<std::size_t>(grid_points_));
 }
 
 double StlEvaluator::LambdaNew() const {
@@ -72,8 +70,9 @@ double StlEvaluator::Evaluate(double lambda_loss, double u_seconds) const {
 
   const int m = grid_points_;
   const double h = u_seconds / (m - 1);
-  double* above = scratch_.data();
-  double* cur = above + m;
+  // The level being computed and the level above it; they swap after
+  // each level instead of being copied.
+  std::vector<double> above(m), cur(m);
 
   // S_top: saturated level.
   for (int i = 0; i < m; ++i) {
@@ -101,8 +100,8 @@ double StlEvaluator::Evaluate(double lambda_loss, double u_seconds) const {
       double ej = 1.0;  // e^{-b x_j}, as a running product
       for (int j = 0; j < m - 1; ++j) {
         const double x0 = static_cast<double>(j) * h;
-        AddIntervalTerm(cur + j, above, m - 1 - j, l * x0, l * (x0 + h),
-                        ej - ej * ebh, ej, c);
+        AddIntervalTerm(cur.data() + j, above.data(), m - 1 - j, l * x0,
+                        l * (x0 + h), ej - ej * ebh, ej, c);
         ej *= ebh;
       }
     }

@@ -43,8 +43,7 @@ class StlEvaluator {
   // STL'(λ_loss, U): expected throughput loss caused over a lock-hold of
   // `u_seconds` starting from initial loss `lambda_loss` (per-second rate).
   // Returns loss in units of (throughput · seconds), i.e. expected number
-  // of lost grants. Evaluate reuses the evaluator's scratch buffers, so one
-  // evaluator must not be evaluated from two threads at once.
+  // of lost grants.
   double Evaluate(double lambda_loss, double u_seconds) const;
 
   // λ_new = λ_w + (1 − Q_r)·λ_r (the expected extra loss per new block).
@@ -58,9 +57,6 @@ class StlEvaluator {
  private:
   SystemParams params_;
   int grid_points_;
-  // DP scratch, sized once so Evaluate never allocates: the level being
-  // computed and the level above it, grid_points_ doubles each.
-  mutable std::vector<double> scratch_;
 };
 
 }  // namespace unicc

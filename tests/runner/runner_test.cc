@@ -158,30 +158,6 @@ TEST(RunSessionTest, SeedOverrideChangesResults) {
       << "different seeds produced identical runs";
 }
 
-TEST(RunSessionTest, ExposesTheMinStlSelectorOnlyUnderMinStl) {
-  const ScenarioSpec fixed = SmallSpec();
-  RunRequest a;
-  a.spec = &fixed;
-  auto sa = RunSession::Create(std::move(a));
-  ASSERT_TRUE(sa.ok());
-  (*sa)->Run();
-  EXPECT_EQ((*sa)->selector(), nullptr);
-
-  const ScenarioSpec minstl = SmallSpec("\n[policy]\nkind = minstl\n");
-  RunRequest b;
-  b.spec = &minstl;
-  auto sb = RunSession::Create(std::move(b));
-  ASSERT_TRUE(sb.ok());
-  EXPECT_EQ((*sb)->Run().stats.committed, 40u);
-  const MinStlSelector* selector = (*sb)->selector();
-  ASSERT_NE(selector, nullptr);
-  std::uint64_t chosen = 0;
-  for (int p = 0; p < kNumProtocols; ++p) {
-    chosen += selector->selections(static_cast<Protocol>(p));
-  }
-  EXPECT_EQ(chosen, 40u);
-}
-
 TEST(ScenarioShardsKeyTest, ParsesIntoEngineOptions) {
   const ScenarioSpec spec = SmallSpec("\n[run]\nshards = 2\n");
   EXPECT_EQ(spec.engine.shards, 2u);

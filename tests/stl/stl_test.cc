@@ -195,18 +195,6 @@ TEST(StlEvaluatorTest, MatchesGoldenValuesBitForBit) {
   }
 }
 
-TEST(StlEvaluatorTest, RepeatedCallsOnOneEvaluatorAgree) {
-  // Evaluate reuses the evaluator's scratch buffers; a call must not see
-  // state left by an earlier one.
-  StlEvaluator ev(DefaultSys(), 32);
-  const double first = ev.Evaluate(10, 0.2);
-  EXPECT_EQ(ev.Evaluate(100, 0.5), 100 * 0.5);
-  EXPECT_EQ(ev.Evaluate(60, 1.0),
-            StlEvaluator(DefaultSys(), 32).Evaluate(60, 1.0));
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(ev.Evaluate(10, 0.2)),
-            std::bit_cast<std::uint64_t>(first));
-}
-
 TEST(StlEvaluatorTest, TinyLambdaNewStopsAtTheLevelCap) {
   // (100 - 1) / 1e-9 levels do not fit in an int; the DP must still stop
   // at 4096 levels. So little loss escalates within 50 ms that STL' stays

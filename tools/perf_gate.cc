@@ -33,11 +33,10 @@
 //                      as authored; its exact digest, macro_digest, pins
 //                      the table layout, scan machinery and the
 //                      rejection-inversion Zipf sampler
-//   selector_run       the min-STL phase-shift scenario as authored,
+//   selector_run       scenarios/phase_shift.ini (min-STL) as authored,
 //                      repeated; its exact digest, selector_digest, folds
-//                      the selector's per-protocol choice counts, so any
-//                      change to an STL estimate that flips a choice
-//                      moves it
+//                      the per-protocol commit counts, so any change to an
+//                      STL estimate that flips a protocol choice moves it
 //   stl_evaluate       StlEvaluator::Evaluate calls/sec over fixed points
 //                      of 100-500 loss levels on the selector's DP grid
 //   trace_write        UCTC v2 block-columnar trace encode, MB/sec
@@ -513,22 +512,30 @@ KernelResult KernelOverloadRun(const std::string& path, bool* ok) {
   return r;
 }
 
+constexpr char kSelectorScenario[] = "scenarios/phase_shift.ini";
+
 // Selector kernel: the min-STL phase-shift scenario as authored, repeated
 // for `min_seconds` (one run takes about a tenth of a second, too short to
 // time alone). Every class refresh prices all three protocols through
-// StlEvaluator, so on top of the run's outcome fields the digest folds the
-// selector's per-protocol choice counts: an STL estimate that moves enough
-// to flip one choice moves the digest. Every repetition must reproduce it.
-KernelResult KernelSelectorRun(double min_seconds, const std::string& path,
-                               bool* ok) {
+// StlEvaluator, and the policy picks the protocol of every transaction, so
+// an STL estimate that moves enough to flip one choice moves the
+// per-protocol commit counts in DigestStats. Every repetition must
+// reproduce the first run's digest.
+KernelResult KernelSelectorRun(double min_seconds, bool* ok) {
   KernelResult r;
   r.name = "selector_run";
   r.items = "txns";
   r.digest_key = "selector_digest";
-  auto spec = ScenarioSpec::LoadFile(path);
+  auto spec = ScenarioSpec::LoadFile(kSelectorScenario);
   if (!spec.ok()) {
-    std::fprintf(stderr, "perf_gate: %s: %s\n", path.c_str(),
+    std::fprintf(stderr, "perf_gate: %s: %s\n", kSelectorScenario,
                  spec.status().ToString().c_str());
+    *ok = false;
+    return r;
+  }
+  if (spec->policy.kind != ScenarioPolicy::Kind::kMinStl) {
+    std::fprintf(stderr, "perf_gate: %s does not use the min-STL policy\n",
+                 kSelectorScenario);
     *ok = false;
     return r;
   }
@@ -540,28 +547,20 @@ KernelResult KernelSelectorRun(double min_seconds, const std::string& path,
     request.spec = &*spec;
     auto session = runner::RunSession::Create(std::move(request));
     if (!session.ok()) {
-      std::fprintf(stderr, "perf_gate: %s: %s\n", path.c_str(),
+      std::fprintf(stderr, "perf_gate: %s: %s\n", kSelectorScenario,
                    session.status().ToString().c_str());
       failed = true;
       return 0;
     }
     const bench::RunStats stats = (*session)->Run().stats;
-    std::uint64_t digest = DigestStats(stats);
-    const MinStlSelector* selector = (*session)->selector();
-    if (selector != nullptr) {
-      for (int p = 0; p < kNumProtocols; ++p) {
-        MixDigest(&digest, selector->selections(static_cast<Protocol>(p)));
-      }
-    }
+    const std::uint64_t digest = DigestStats(stats);
     if (first) r.digest = digest;
     first = false;
-    if (selector == nullptr || stats.committed != spec->TotalTxns() ||
-        !stats.serializable || digest != r.digest) {
+    if (stats.committed != spec->TotalTxns() || !stats.serializable ||
+        digest != r.digest) {
       std::fprintf(stderr,
-                   "perf_gate: selector_run is broken (min-STL=%s, "
-                   "committed=%llu/%llu, serializable=%s, digest %016llx "
-                   "vs first run %016llx)\n",
-                   selector != nullptr ? "yes" : "no",
+                   "perf_gate: selector_run is broken (committed=%llu/%llu, "
+                   "serializable=%s, digest %016llx vs first run %016llx)\n",
                    static_cast<unsigned long long>(stats.committed),
                    static_cast<unsigned long long>(spec->TotalTxns()),
                    stats.serializable ? "yes" : "no",
@@ -759,9 +758,6 @@ void PrintHelp() {
       "  --macro-scenario=<file>  macro-tier [table] scenario for the\n"
       "                      macro_run kernel, run as authored\n"
       "                      (default scenarios/macro_ycsb.ini)\n"
-      "  --selector-scenario=<file>  min-STL scenario for the\n"
-      "                      selector_run kernel, run as authored\n"
-      "                      (default scenarios/phase_shift.ini)\n"
       "  --trace-roundtrip=<n>  instead of the kernel suite, run a\n"
       "                      bounded-memory generator -> v2 trace file ->\n"
       "                      replay round trip of n transactions and exit\n"
@@ -790,7 +786,6 @@ int main(int argc, char** argv) {
   std::string faulty_path = "scenarios/flaky_mesh.ini";
   std::string overload_path = "scenarios/overload.ini";
   std::string macro_path = "scenarios/macro_ycsb.ini";
-  std::string selector_path = "scenarios/phase_shift.ini";
   double tolerance = 0.5;
   double min_time = 0.5;
   std::uint64_t txns = 20000;
@@ -812,8 +807,7 @@ int main(int argc, char** argv) {
                ParseFlag(a, "--sharded-scenario", &sharded_path) ||
                ParseFlag(a, "--faulty-scenario", &faulty_path) ||
                ParseFlag(a, "--overload-scenario", &overload_path) ||
-               ParseFlag(a, "--macro-scenario", &macro_path) ||
-               ParseFlag(a, "--selector-scenario", &selector_path)) {
+               ParseFlag(a, "--macro-scenario", &macro_path)) {
     } else if (ParseFlag(a, "--tolerance", &v)) {
       tolerance = std::strtod(v.c_str(), nullptr);
     } else if (ParseFlag(a, "--min-time", &v)) {
@@ -874,7 +868,7 @@ int main(int argc, char** argv) {
     kernels.push_back(KernelTraceWrite(min_time, trace_wl, encoded_mb, &ok));
     kernels.push_back(KernelTraceReplay(min_time, encoded, write_digest, &ok));
   }
-  kernels.push_back(KernelSelectorRun(min_time, selector_path, &ok));
+  kernels.push_back(KernelSelectorRun(min_time, &ok));
   kernels.push_back(KernelStlEvaluate(min_time, &ok));
 
   std::printf("%-18s %14s  %s\n", "kernel", "items/sec", "unit");
@@ -970,8 +964,7 @@ int main(int argc, char** argv) {
                  {"sharded_scenario", sharded_path},
                  {"faulty_scenario", faulty_path},
                  {"overload_scenario", overload_path},
-                 {"macro_scenario", macro_path},
-                 {"selector_scenario", selector_path}});
+                 {"macro_scenario", macro_path}});
   }
   return ok ? 0 : 1;
 }
