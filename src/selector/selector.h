@@ -3,12 +3,21 @@
 // Throughput Loss. Parameters come from the online ParamEstimator; STL
 // values are cached per transaction class (bucketed by read/write counts)
 // and refreshed periodically, as the paper suggests for speed.
+//
+// A refresh prices the three protocols at once: the calling thread takes
+// the estimator snapshot, then it and up to two helper threads owned by
+// the selector each run whole STL estimates. Every estimate reads the same
+// immutable inputs and writes its own slot, and the choice compares the
+// slots in the fixed 2PL, T/O, PA order, so values and choices are
+// bit-identical whatever the thread count (docs/performance.md, "Parallel
+// refresh").
 #ifndef UNICC_SELECTOR_SELECTOR_H_
 #define UNICC_SELECTOR_SELECTOR_H_
 
 #include <array>
 #include <cstdint>
 #include <map>
+#include <memory>
 
 #include "common/types.h"
 #include "sim/simulator.h"
@@ -34,6 +43,10 @@ class MinStlSelector {
   // outlive the selector; `num_queues` is the number of physical copies.
   MinStlSelector(const Simulator* sim, const ParamEstimator* estimator,
                  std::size_t num_queues, SelectorOptions options = {});
+  // Stops and joins the helper threads, if any were started.
+  ~MinStlSelector();
+  MinStlSelector(const MinStlSelector&) = delete;
+  MinStlSelector& operator=(const MinStlSelector&) = delete;
 
   // Chooses the protocol for `spec` (usable as a ProtocolPolicy).
   Protocol Choose(const TxnSpec& spec);
@@ -46,21 +59,47 @@ class MinStlSelector {
     return selections_[static_cast<std::size_t>(p)];
   }
 
-  // Most recent STL estimates for a class (diagnostics / tests).
+  // STL estimates for a class at the current simulated time (diagnostics
+  // / tests). They are priced from a copy of the estimator, so asking does
+  // not advance its decay clock and cannot change later choices. Not
+  // const: pricing starts the helper threads on first use.
   struct ClassStl {
     double stl_2pl = 0;
     double stl_to = 0;
     double stl_pa = 0;
   };
-  ClassStl EstimateFor(TxnShape shape) const;
+  ClassStl EstimateFor(TxnShape shape);
+
+  // Helper threads running: 0 until the first pricing, then min(2, CPUs in
+  // the process affinity mask - 1), fewer if the system refused a thread.
+  int helper_threads() const;
 
  private:
+  struct Helpers;
+
   static std::uint64_t ClassKey(TxnShape shape);
+  // Snapshots `est` on the calling thread (advancing its decay clock) and
+  // prices the three protocols on it and the helpers.
+  ClassStl Price(const ParamEstimator& est, TxnShape shape);
+  void StartHelpers();
+  void WaitForHelpers();
+  // Runs the estimates of protocols worker, worker + workers, ... .
+  void RunTasks(int worker);
+  void HelperLoop(int worker);
 
   const Simulator* sim_;
   const ParamEstimator* estimator_;
   std::size_t num_queues_;
   SelectorOptions options_;
+
+  // The pricing in flight. The caller writes the inputs before the start
+  // barrier; each worker writes only its protocols' `stl_` slots, and the
+  // caller reads them once every helper has finished.
+  SystemParams sys_;
+  TxnShape shape_;
+  std::array<ProtocolParams, kNumProtocols> params_{};
+  std::array<double, kNumProtocols> stl_{};
+  std::unique_ptr<Helpers> helpers_;
 
   std::uint64_t decided_ = 0;
   std::map<std::uint64_t, std::pair<Protocol, std::uint64_t>> cache_;

@@ -1,10 +1,12 @@
 // Runner-facade tests: RunRequest validation surfaces Status errors
 // instead of aborting, EngineBuilder validates before construction, the
-// [run] shards scenario key parses and cross-validates, and NegotiateJobs
-// keeps jobs x shards within the machine.
+// [run] shards scenario key parses and cross-validates, NegotiateJobs
+// keeps jobs x shards within the machine, and min-STL sessions running at
+// once in several threads each reproduce their solo run.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <thread>
 #include <utility>
 
 #include "engine/builder.h"
@@ -156,6 +158,45 @@ TEST(RunSessionTest, SeedOverrideChangesResults) {
   EXPECT_EQ(rb.stats.committed, 40u);
   EXPECT_NE(ra.stats.makespan, rb.stats.makespan)
       << "different seeds produced identical runs";
+}
+
+// The min-STL selector prices each refresh on helper threads of its own.
+// Two sessions running at once, as sweep_runner's workers run cells, must
+// each give exactly the run they give alone.
+TEST(RunSessionTest, ConcurrentMinStlSessionsMatchASoloRun) {
+  const std::string path =
+      std::string(UNICC_SCENARIOS_DIR) + "/phase_shift.ini";
+  auto spec = ScenarioSpec::LoadFile(path);
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  ASSERT_EQ(spec->policy.kind, ScenarioPolicy::Kind::kMinStl);
+  const auto run = [&spec](runner::RunStats* out) {
+    RunRequest request;
+    request.spec = &*spec;
+    auto session = RunSession::Create(std::move(request));
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    *out = (*session)->Run().stats;
+  };
+  runner::RunStats solo;
+  run(&solo);
+  ASSERT_EQ(solo.committed, spec->TotalTxns());
+  runner::RunStats both[2];
+  std::thread first(run, &both[0]);
+  std::thread second(run, &both[1]);
+  first.join();
+  second.join();
+  for (const runner::RunStats& s : both) {
+    EXPECT_EQ(s.committed, solo.committed);
+    EXPECT_EQ(s.deadlock_victims, solo.deadlock_victims);
+    EXPECT_EQ(s.reject_restarts, solo.reject_restarts);
+    EXPECT_EQ(s.backoff_rounds, solo.backoff_rounds);
+    EXPECT_TRUE(s.serializable);
+    for (int p = 0; p < kNumProtocols; ++p) {
+      EXPECT_EQ(s.committed_by_proto[p], solo.committed_by_proto[p]);
+    }
+    EXPECT_EQ(s.makespan, solo.makespan);
+    EXPECT_EQ(s.mean_s_ms, solo.mean_s_ms);
+    EXPECT_EQ(s.p95_s_ms, solo.p95_s_ms);
+  }
 }
 
 TEST(ScenarioShardsKeyTest, ParsesIntoEngineOptions) {
